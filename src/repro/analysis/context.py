@@ -54,7 +54,7 @@ _DISK_VERSION = 1
 #: Artifact kinds tracked by :class:`CacheStats`.
 KINDS = ("cfg", "domtree", "postdomtree", "reaching_defs", "stores",
          "callgraph", "icfg", "ticfg", "store_symbols", "slice", "decoded",
-         "compiled", "predictors")
+         "predictors")
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +328,6 @@ class AnalysisContext:
 
         return self._module_artifact(
             "decoded", lambda: _decoded(self.module))
-
-    def compiled_program(self):
-        """The module's GIR-to-Python compiled program (the compiled
-        execution tier's generator functions; see
-        :mod:`repro.runtime.compiled`).
-
-        Mirrors :meth:`decoded_program`: delegates to the module-level
-        bounded LRU that ``Interpreter`` construction consults, adding the
-        context's hit/miss accounting on top.  Compiled programs hold
-        exec'd code objects and are never persisted to disk — rebuilding
-        from source is cheap and version-proof.
-        """
-        from ..runtime.compiled import compiled_program as _compiled
-
-        return self._module_artifact(
-            "compiled", lambda: _compiled(self.module))
 
     def store_symbols(self) -> List[Tuple[Instr, Tuple]]:
         """Every STORE with a resolvable symbolic location (module-wide),

@@ -81,10 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                  if args.seed is not None else None)
     interp = Interpreter(module, args=_parse_args_values(args.args),
                          scheduler=scheduler, max_steps=args.max_steps,
-                         strict_dispatch=(True if args.strict_dispatch
-                                          else None),
-                         mode=args.interp,
-                         profile=args.profile_run)
+                         mode=args.interp, profile=args.profile_run)
     outcome = interp.run()
     for line in outcome.stdout:
         print(line)
@@ -122,7 +119,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                  if args.seed is not None else None)
     interp = Interpreter(module, args=_parse_args_values(args.args),
                          scheduler=scheduler, tracers=[encoder],
-                         max_steps=args.max_steps, mode=args.interp)
+                         max_steps=args.max_steps)
     outcome = interp.run()
     decoder = PTDecoder(module)
     print(f"run: {'FAILED' if outcome.failed else 'ok'}, "
@@ -158,7 +155,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
                                     args.switch_prob)
         interp = Interpreter(module, args=_parse_args_values(args.args),
                              scheduler=scheduler, tracers=[encoder],
-                             max_steps=args.max_steps, mode=args.interp)
+                             max_steps=args.max_steps)
         interp.run()
         for tid in sorted(encoder.buffers):
             traces.append(decoder.decode(encoder.raw_trace(tid)))
@@ -206,7 +203,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 analysis_cache_dir=args.cache_dir,
                 transport=args.fleet_transport,
                 fault_plan=args.fault_plan,
-                interp_mode=args.interp,
                 shards=args.shards,
                 cohort_size=args.cohort_size,
                 cohort_share=args.cohort_share,
@@ -276,7 +272,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                 executor=args.executor,
                 transport=args.fleet_transport,
                 fault_plan=args.fault_plan,
-                interp_mode=args.interp,
                 journal_dir=args.journal_dir,
                 batch_bytes=args.batch_bytes,
                 batch_ms=args.batch_ms,
@@ -332,7 +327,6 @@ def _cmd_corpus_campaign(args: argparse.Namespace) -> int:
                          fault_plan=args.fault_plan,
                          transport=args.fleet_transport,
                          journal_dir=args.journal_dir,
-                         interp_mode=args.interp,
                          max_iterations=args.max_iterations,
                          ranker=args.ranker, stats=args.stats)
     result = plane.run()
@@ -427,22 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def interp_flag(p):
-        p.add_argument("--interp",
-                       choices=("compiled", "decoded", "strict"),
-                       default=None,
-                       help="interpreter tier: 'compiled' (GIR compiled to "
-                            "Python, default), 'decoded' (pre-decoded "
-                            "streams), or 'strict' (reference dispatch); "
-                            "instrumented runs always use 'decoded'")
-
     def common_run_flags(p):
         p.add_argument("args", nargs="*", help="program arguments")
         p.add_argument("--seed", type=int, default=None,
                        help="random-scheduler seed")
         p.add_argument("--switch-prob", type=float, default=0.02)
         p.add_argument("--max-steps", type=int, default=500_000)
-        interp_flag(p)
 
     p = sub.add_parser("compile", help="compile MiniC and dump GIR")
     p.add_argument("program")
@@ -454,9 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-run", action="store_true",
                    help="print a per-phase breakdown of interpreter time "
                         "(schedule/fetch/trace/dispatch) to stderr")
-    p.add_argument("--strict-dispatch", action="store_true",
-                   help="use the reference (pre-overhaul) execution path "
-                        "instead of the pre-decoded hot path")
+    p.add_argument("--interp", choices=("decoded", "strict", "compiled"),
+                   default="decoded",
+                   help="interpreter tier: 'decoded' (pre-decoded streams, "
+                        "default), 'strict' (reference dispatch), or "
+                        "'compiled' (GIR compiled to Python; call depth "
+                        "bounded by the Python recursion limit)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("trace", help="run under full Intel-PT tracing")
@@ -615,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=cmd_corpus)
     cp = csub.add_parser("diagnose", help="run a campaign on a corpus bug")
     cp.add_argument("bug_id")
-    interp_flag(cp)
     cp.add_argument("--endpoints", type=int, default=4)
     cp.add_argument("--max-iterations", type=int, default=6)
     cp.add_argument("--html", default=None)
@@ -628,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "campaigns over one shared fleet")
     cp.add_argument("bug_ids", nargs="+",
                     help="corpus bug ids (or the single word 'all')")
-    interp_flag(cp)
     cp.add_argument("--endpoints", type=int, default=4)
     cp.add_argument("--max-iterations", type=int, default=6)
     cp.add_argument("--show-sketches", action="store_true",

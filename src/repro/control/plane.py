@@ -117,7 +117,6 @@ class ControlPlane:
                  fault_plan: Optional[FaultPlan] = None,
                  transport: str = "wire",
                  journal_dir: Optional[str] = None,
-                 interp_mode: Optional[str] = None,
                  ptwrite: bool = False,
                  extended_predicates: bool = False,
                  initial_sigma: int = DEFAULT_SIGMA,
@@ -160,7 +159,7 @@ class ControlPlane:
                 ptwrite=ptwrite, extended_predicates=extended_predicates,
                 context=spec.context, fleet_workers=fleet_workers,
                 engine=self._engine, transport=transport,
-                fault_plan=fault_plan, interp_mode=interp_mode,
+                fault_plan=fault_plan,
                 campaign_key=spec.bug, cohort_model=self.cohort,
                 ranker_stripes=shards, journal_dir=journal_dir,
                 detectors=spec.detectors, ranker=ranker, stats=stats)

@@ -41,7 +41,6 @@ class GistClient:
     def __init__(self, module: Module, endpoint_id: int = 0,
                  ptwrite: bool = False,
                  extended_predicates: bool = False,
-                 interp_mode: Optional[str] = None,
                  detectors: tuple = ()) -> None:
         self.module = module
         self.endpoint_id = endpoint_id
@@ -51,10 +50,6 @@ class GistClient:
         #: §6 future work: also extract range/inequality value predicates
         #: (must match the server's setting so fleet statistics line up).
         self.extended_predicates = extended_predicates
-        #: Interpreter tier ("compiled"/"decoded"/"strict"); None defers to
-        #: the process default.  Instrumented runs fall back to the decoded
-        #: tier automatically, so this only shapes uninstrumented runs.
-        self.interp_mode = interp_mode
         #: Detection-subsystem tracers attached to every run of this
         #: endpoint (see :mod:`repro.detect`): fresh instances per run,
         #: and their verdicts amend the outcome before it is reported.
@@ -100,7 +95,6 @@ class GistClient:
             tracers=tracers,
             hooks=hooks,
             max_steps=workload.max_steps,
-            mode=self.interp_mode,
         )
         outcome = interp.run()
         if detectors:

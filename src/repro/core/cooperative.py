@@ -107,7 +107,6 @@ class CooperativeDeployment:
                  engine: Optional["FleetExecutor"] = None,
                  transport: str = "wire",
                  fault_plan: Optional["FaultPlan"] = None,
-                 interp_mode: Optional[str] = None,
                  campaign_key: Optional[str] = None,
                  cohort_model=None,
                  ranker_stripes: int = 1,
@@ -166,12 +165,8 @@ class CooperativeDeployment:
         # must match the server's for the fleet statistics to line up.
         self.clients = [GistClient(module, endpoint_id=i, ptwrite=ptwrite,
                                    extended_predicates=extended_predicates,
-                                   interp_mode=interp_mode,
                                    detectors=self.detectors)
                         for i in range(endpoints)]
-        #: Interpreter tier for uninstrumented endpoint runs (None = the
-        #: process default; instrumented runs always take the decoded tier).
-        self.interp_mode = interp_mode
         #: Client runs executed concurrently per batch (1 = sequential).
         self.fleet_workers = fleet_workers
         #: Which execution engine runs the batches.  An injected ``engine``
@@ -334,7 +329,6 @@ class CooperativeDeployment:
                             if patch is not None else None),
                 ptwrite=client.ptwrite,
                 extended=client.extended_predicates,
-                interp_mode=client.interp_mode,
                 detectors=client.detectors))
         results: List[ClientRunResult] = []
         for job_result in self._ensure_engine().run_jobs(jobs):
@@ -421,7 +415,6 @@ class CooperativeDeployment:
                 patch_epoch=plan.patch_epoch,
                 ptwrite=endpoint.client.ptwrite,
                 extended=endpoint.client.extended_predicates,
-                interp_mode=endpoint.client.interp_mode,
                 detectors=endpoint.client.detectors,
                 cohort=plan.cohort,
                 campaign_key=self.campaign_key))

@@ -78,7 +78,6 @@ class Gist:
                  engine=None,
                  transport: str = "wire",
                  fault_plan=None,
-                 interp_mode: Optional[str] = None,
                  shards: int = 1,
                  cohort_size: int = 1,
                  cohort_share: float = 1.0,
@@ -118,9 +117,6 @@ class Gist:
         #: Optional :class:`repro.fleet.FaultPlan` injected at the
         #: transport boundary (wire transport only).
         self.fault_plan = fault_plan
-        #: Interpreter tier for uninstrumented endpoint runs
-        #: ("compiled"/"decoded"/"strict"; None = process default).
-        self.interp_mode = interp_mode
         #: Control-plane shard count.  With the defaults below (1 shard,
         #: cohort of 1) diagnosis takes the classic single-campaign path,
         #: byte-identical to pre-control-plane behaviour; any other value
@@ -189,7 +185,7 @@ class Gist:
             context=self.context, fleet_workers=self.fleet_workers,
             executor=self.executor, engine=self.engine,
             transport=self.transport, fault_plan=self.fault_plan,
-            interp_mode=self.interp_mode, journal_dir=self.journal_dir,
+            journal_dir=self.journal_dir,
             batch_bytes=self.batch_bytes, batch_ms=self.batch_ms,
             detectors=self.detectors, ranker=self.ranker,
             stats=self.stats)
@@ -229,7 +225,7 @@ class Gist:
             fleet_workers=self.fleet_workers, executor=self.executor,
             engine=self.engine, fault_plan=self.fault_plan,
             transport=self.transport, journal_dir=self.journal_dir,
-            interp_mode=self.interp_mode, ptwrite=self.ptwrite,
+            ptwrite=self.ptwrite,
             extended_predicates=self.extended_predicates,
             initial_sigma=initial_sigma, max_iterations=max_iterations,
             max_runs_per_iteration=max_runs_per_iteration,

@@ -61,9 +61,6 @@ class RunJob:
     patch_epoch: Optional[int] = None
     ptwrite: bool = False
     extended: bool = False
-    #: Interpreter tier for the worker ("compiled"/"decoded"/"strict";
-    #: None = the worker process's default).
-    interp_mode: Optional[str] = None
     #: Cohort multiplicity, resolved main-side: the worker stamps it onto
     #: the monitored run before encoding so the envelope carries it.
     cohort: int = 1

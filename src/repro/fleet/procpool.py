@@ -88,7 +88,6 @@ def _worker_run(job: RunJob) -> JobResult:
     client = GistClient(module, endpoint_id=job.endpoint_id,
                         ptwrite=job.ptwrite,
                         extended_predicates=job.extended,
-                        interp_mode=job.interp_mode,
                         detectors=job.detectors)
     result = client.run(job.workload, patch=patch, run_id=job.run_id)
     failure_blob = None

@@ -1,4 +1,4 @@
-"""GIR → Python source compilation: the interpreter's top speed tier.
+"""GIR → Python source compilation: the interpreter's opt-in compiled tier.
 
 The decoded tier (:mod:`repro.runtime.decoded`) pays one Python *call* per
 retired instruction — the interpreter loop indexes a step-record list and
@@ -44,9 +44,14 @@ spills live registers and the frame's block/index before delegating to
 ``Interpreter._do_builtin``, and retries on every wakeup.
 
 The per-module cache (:func:`compiled_program`) is a bounded LRU keyed by
-module identity and ``analysis_epoch``;
-:meth:`repro.analysis.context.AnalysisContext.compiled_program` wraps it
-with the context's hit/miss/eviction counters, mirroring ``decoded``.
+module identity and ``analysis_epoch``.
+
+The tier runs only under an explicit ``Interpreter(mode="compiled")``:
+campaigns stay on the decoded tier, because the per-module ``exec``
+compile costs more than the uninstrumented runs it speeds up.  ``yield
+from`` nests one Python frame per MiniC call, so the MiniC call depth this
+tier supports is bounded by :func:`sys.getrecursionlimit` (the other tiers
+keep MiniC frames in a list and have no such bound).
 """
 
 from __future__ import annotations

@@ -110,24 +110,24 @@ _UNOP_FNS: Dict[str, Callable[[int], int]] = {
 class DecodedProgram:
     """The decoded step-record lists for every basic block of a module."""
 
-    __slots__ = ("module", "epoch", "blocks")
+    # No reference back to the module: the cache below is weakly keyed by
+    # it, and a value that held its key would keep every entry alive.
+    __slots__ = ("epoch", "blocks")
 
     def __init__(self, module: Module) -> None:
         if not module.finalized:
             raise ValueError("module must be finalized")
-        self.module = module
         self.epoch = module.analysis_epoch
         #: (function name, block label) -> [StepRecord, ...]
         self.blocks: Dict[Tuple[str, str], List[StepRecord]] = {}
-        self._build()
+        self._build(module)
 
     def block_code(self, func: str, block: str) -> List[StepRecord]:
         return self.blocks[(func, block)]
 
     # -- construction ------------------------------------------------------
 
-    def _build(self) -> None:
-        module = self.module
+    def _build(self, module: Module) -> None:
         # Replay the interpreter's deterministic global/string mapping on a
         # scratch address space to learn the bases every run will use.
         layout = Memory()
@@ -145,7 +145,8 @@ class DecodedProgram:
                 records = self.blocks[(fname, bb.label)]
                 for idx, ins in enumerate(bb.instrs):
                     run = _compile(self, ins, idx + 1, fname,
-                                   global_bases, string_bases)
+                                   global_bases, string_bases,
+                                   module.functions)
                     records.append((run, OPCODE_COST[ins.opcode],
                                     ins.opcode.value, ins))
 
@@ -219,7 +220,7 @@ def _raiser(make_exc):
 
 
 def _compile(prog: DecodedProgram, ins: Instr, next_index: int, fname: str,
-             global_bases, string_bases) -> Callable:
+             global_bases, string_bases, functions) -> Callable:
     op = ins.opcode
     spec = lambda i: _operand_spec(ins.operands[i],  # noqa: E731
                                    global_bases, string_bases)
@@ -247,7 +248,8 @@ def _compile(prog: DecodedProgram, ins: Instr, next_index: int, fname: str,
     if op == Opcode.RET:
         return _compile_ret(ins, spec(0) if ins.operands else None, fname)
     if op == Opcode.CALL:
-        return _compile_call(prog, ins, global_bases, string_bases)
+        return _compile_call(prog, ins, global_bases, string_bases,
+                             functions)
     return _raiser(lambda: RuntimeError(f"unknown opcode {op}"))
 
 
@@ -579,12 +581,12 @@ def _compile_ret(ins, value_spec, fname):
     return run
 
 
-def _compile_call(prog, ins, global_bases, string_bases):
+def _compile_call(prog, ins, global_bases, string_bases, functions):
     uid = ins.uid
 
     def user_call():
         callee = ins.callee
-        func = prog.module.functions[callee]
+        func = functions[callee]
         params = tuple(func.params)
         entry_label = func.entry
         entry_code = prog.blocks.get((callee, entry_label))
@@ -617,7 +619,7 @@ def _compile_call(prog, ins, global_bases, string_bases):
             thread.frames.append(new_frame)
         return run
 
-    if ins.callee in prog.module.functions:
+    if ins.callee in functions:
         return user_call()
 
     # Builtins: delegate to the interpreter's (mode-shared) implementation,

@@ -9,20 +9,25 @@ and converts memory faults / failed assertions / deadlocks into
 :class:`~repro.runtime.failures.FailureReport` objects — the raw material of
 failure sketching.
 
-Two dispatch modes execute the same semantics:
+Three execution tiers run the same semantics, chosen per interpreter by
+``mode=`` (default :data:`INTERP_MODE_DEFAULT`):
 
-- The **hot path** (default) steps through pre-decoded closure streams
-  (:mod:`repro.runtime.decoded`) and consults per-event-kind *subscriber
-  lists* computed at run start, so a tracer that does not implement
-  ``on_mem`` is never consulted for memory events and no event object is
-  allocated when an event kind has no subscribers at all.
-- The **strict path** (``strict_dispatch=True``, or process-wide via the
-  ``REPRO_STRICT_DISPATCH`` environment variable) is the original
+- The **decoded tier** (the default) steps through pre-decoded closure
+  streams (:mod:`repro.runtime.decoded`) and consults per-event-kind
+  *subscriber lists* computed at run start, so a tracer that does not
+  implement ``on_mem`` is never consulted for memory events and no event
+  object is allocated when an event kind has no subscribers at all.
+- The **strict tier** (``mode="strict"``) is the original
   fetch/decode/execute interpreter with unconditional tracer fan-out, kept
-  as the executable reference that the A/B equivalence suite pins the hot
-  path against.
+  as the executable reference that the A/B equivalence suite pins the
+  other tiers against.
+- The **compiled tier** (``mode="compiled"``, opt-in) runs uninstrumented
+  executions as exec-compiled Python generators
+  (:mod:`repro.runtime.compiled`); instrumented runs fall back to the
+  decoded tier.  Its MiniC call depth is bounded by
+  :func:`sys.getrecursionlimit`.
 
-Both modes call :meth:`Scheduler.pick` once per retired instruction — a
+Every tier calls :meth:`Scheduler.pick` once per retired instruction — a
 load-bearing invariant: seeded schedulers consume RNG state per pick, so
 skipping picks (e.g. when only one thread is runnable) would change every
 downstream interleaving.
@@ -30,7 +35,6 @@ downstream interleaving.
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -75,20 +79,10 @@ Hook = Tuple[Callable[["Interpreter", int, Instr], None], int]
 
 ArgValue = Union[int, str]
 
-#: Process-wide default dispatch mode.  ``True`` routes every run that does
-#: not pass an explicit ``strict_dispatch=`` through the reference
-#: interpreter — the lever the A/B equivalence tests and the
-#: ``REPRO_STRICT_DISPATCH=1`` environment knob use to compare whole
-#: campaigns across modes without threading a flag through every call site.
-STRICT_DISPATCH_DEFAULT = \
-    os.environ.get("REPRO_STRICT_DISPATCH", "") not in ("", "0")
-
-#: Process-wide default execution tier for runs that pass neither ``mode=``
-#: nor ``strict_dispatch=``: "compiled" (GIR compiled to Python source,
-#: uninstrumented runs only), "decoded" (pre-decoded closure streams), or
-#: "strict" (the reference interpreter).  Overridable via the
-#: ``REPRO_INTERP_MODE`` environment variable and the CLI ``--interp`` flag.
-INTERP_MODE_DEFAULT = os.environ.get("REPRO_INTERP_MODE", "") or "compiled"
+#: Execution tier for interpreters built without ``mode=``.  Campaigns
+#: always run on it: the compiled tier's per-module ``exec`` compile costs
+#: more than its uninstrumented runs save end to end.
+INTERP_MODE_DEFAULT = "decoded"
 
 _VALID_MODES = ("compiled", "decoded", "strict")
 
@@ -119,11 +113,10 @@ class Interpreter:
         max_steps: global retired-instruction budget; exceeding it reports a
             HANG failure (the paper treats hangs as failures Gist
             understands, §3.3).
-        strict_dispatch: force the reference (pre-decode-free, unconditional
-            fan-out) execution path; ``None`` defers to
-            :data:`STRICT_DISPATCH_DEFAULT`.
         profile: collect a per-phase wall-clock breakdown of the hot loop
             (schedule/fetch/trace/dispatch) into :attr:`profile_data`.
+        mode: execution tier, "decoded", "strict" or "compiled"; ``None``
+            means :data:`INTERP_MODE_DEFAULT`.
     """
 
     def __init__(
@@ -135,7 +128,6 @@ class Interpreter:
         tracers: Sequence[Tracer] = (),
         hooks: Optional[Dict[int, List[Hook]]] = None,
         max_steps: int = 500_000,
-        strict_dispatch: Optional[bool] = None,
         profile: bool = False,
         mode: Optional[str] = None,
     ) -> None:
@@ -149,8 +141,13 @@ class Interpreter:
         self.tracers: List[Tracer] = list(tracers)
         self.hooks: Dict[int, List[Hook]] = hooks or {}
         self.max_steps = max_steps
-        self.mode = self._resolve_mode(mode, strict_dispatch)
-        self.strict_dispatch = (self.mode == "strict")
+        if mode is None:
+            mode = INTERP_MODE_DEFAULT
+        if mode not in _VALID_MODES:
+            raise ValueError(
+                f"unknown interpreter mode {mode!r}; "
+                f"expected one of {_VALID_MODES}")
+        self.mode = mode
         self.profile = profile
         #: Filled by a profiled run: {"steps", "wall_s", "phases": {...}}.
         self.profile_data: Optional[Dict[str, object]] = None
@@ -176,10 +173,10 @@ class Interpreter:
         # listens) or (total static cost, [bound handlers]).  Computed
         # here and again at run start (events fired before run() — e.g.
         # from tests poking _do_builtin directly — still dispatch).
-        self._decoded = None if self.strict_dispatch \
+        self._decoded = None if mode == "strict" \
             else decoded_program(module)
         self._compiled = None
-        if self.mode == "compiled":
+        if mode == "compiled":
             try:
                 self._compiled = compiled_program(module)
             except CompileError:
@@ -191,33 +188,6 @@ class Interpreter:
         self._map_globals()
         self._map_strings()
         self._spawn_entry(list(args))
-
-    @staticmethod
-    def _resolve_mode(mode: Optional[str],
-                      strict_dispatch: Optional[bool]) -> str:
-        """Resolve the execution tier from the explicit ``mode``, the legacy
-        ``strict_dispatch`` flag, and the process-wide defaults.
-
-        Precedence: explicit ``mode`` > explicit ``strict_dispatch`` >
-        :data:`STRICT_DISPATCH_DEFAULT` > :data:`INTERP_MODE_DEFAULT`.  An
-        explicit ``strict_dispatch=False`` means "any non-strict tier": it
-        resolves to the process default unless that default is itself
-        "strict", in which case it falls to "decoded".
-        """
-        if mode is None and strict_dispatch is not None:
-            if strict_dispatch:
-                mode = "strict"
-            else:
-                mode = INTERP_MODE_DEFAULT
-                if mode == "strict":
-                    mode = "decoded"
-        if mode is None:
-            mode = "strict" if STRICT_DISPATCH_DEFAULT else INTERP_MODE_DEFAULT
-        if mode not in _VALID_MODES:
-            raise ValueError(
-                f"unknown interpreter mode {mode!r}; "
-                f"expected one of {_VALID_MODES}")
-        return mode
 
     # ------------------------------------------------------------------ setup
 
@@ -263,7 +233,7 @@ class Interpreter:
         reproducing the reference fan-out bit for bit.
         """
         tracers = self.tracers
-        strict = self.strict_dispatch
+        strict = self.mode == "strict"
 
         def build(cost_attr, name):
             total = 0
@@ -387,7 +357,7 @@ class Interpreter:
         for tracer in self.tracers:
             tracer.on_start(self)
         try:
-            if self.strict_dispatch:
+            if self.mode == "strict":
                 self._loop_strict()
             elif self.profile:
                 self._loop_profiled()
@@ -1126,11 +1096,10 @@ def run_program(
     hooks: Optional[Dict[int, List[Hook]]] = None,
     entry: str = "main",
     max_steps: int = 500_000,
-    strict_dispatch: Optional[bool] = None,
     mode: Optional[str] = None,
 ) -> RunOutcome:
     """One-shot convenience wrapper: build an interpreter and run it."""
     interp = Interpreter(module, entry=entry, args=args, scheduler=scheduler,
                          tracers=tracers, hooks=hooks, max_steps=max_steps,
-                         strict_dispatch=strict_dispatch, mode=mode)
+                         mode=mode)
     return interp.run()

@@ -14,6 +14,8 @@ The headline contracts:
   same sketch.
 """
 
+import socket
+import struct
 import threading
 import time
 
@@ -24,6 +26,11 @@ from repro.core.render import render_sketch
 from repro.corpus import get_bug
 from repro.fleet import parse_fault_plan
 from repro.fleet.socket_transport import (
+    FRAME_HEADER,
+    FRAME_MAGIC,
+    KIND_CONTROL,
+    KIND_DATA,
+    MAX_FRAME_BYTES,
     SocketFleetTransport,
     SocketHub,
 )
@@ -211,6 +218,56 @@ class TestSocketHubLifecycle:
             assert t.uplink.recv() == b"over-tcp"
         finally:
             t.close()
+
+
+class TestMalformedFrames:
+    """The reader rejects hostile or corrupt input as a counted protocol
+    error that ends the connection, never an unhandled exception or an
+    unbounded buffer."""
+
+    def _feed(self, raw: bytes, **peer_opts):
+        hub = SocketHub(name="t-hub").start()
+        ours, theirs = socket.socketpair()
+        try:
+            peer = hub.adopt_socket(theirs, name="victim", **peer_opts)
+            ours.sendall(raw)
+            deadline = time.monotonic() + 5.0
+            while not peer.eof and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert peer.eof, "reader still waiting on the malformed frame"
+            return peer
+        finally:
+            ours.close()
+            hub.close()
+
+    def test_oversized_length_is_rejected_before_reading(self):
+        # No payload follows: a reader that trusted the length would wait
+        # for (and buffer) MAX_FRAME_BYTES + 1 bytes.
+        head = FRAME_HEADER.pack(FRAME_MAGIC, KIND_DATA, 0, 1,
+                                 MAX_FRAME_BYTES + 1)
+        peer = self._feed(head)
+        assert peer.protocol_errors == 1
+        assert "MAX_FRAME_BYTES" in peer.protocol_error
+
+    @pytest.mark.parametrize("payload", [b"\xff\xfe", b"{not json"])
+    def test_undecodable_control_is_a_protocol_error(self, payload):
+        seen = []
+        head = FRAME_HEADER.pack(FRAME_MAGIC, KIND_CONTROL, 0, 1,
+                                 len(payload))
+        peer = self._feed(head + payload,
+                          on_control=lambda obj, _: seen.append(obj))
+        assert peer.protocol_errors == 1
+        assert "CONTROL" in peer.protocol_error
+        assert seen == []
+
+    def test_trailing_bytes_after_envelopes_are_rejected(self):
+        blob = b"envelope"
+        payload = struct.pack("!I", len(blob)) + blob + b"junk"
+        head = FRAME_HEADER.pack(FRAME_MAGIC, KIND_DATA, 9, 1, len(payload))
+        peer = self._feed(head + payload)
+        assert peer.protocol_errors == 1
+        assert "trailing bytes" in peer.protocol_error
+        assert peer.messages_received == 0
 
 
 class TestCampaignEquivalence:

@@ -13,6 +13,9 @@ attached tracer forces the decoded tier); uninstrumented runs exercise the
 compiled generators themselves.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.context import AnalysisContext
@@ -161,17 +164,12 @@ def test_compiled_tier_requires_no_tracers():
 def test_campaign_sketches_identical_across_dispatch_modes(
         bug_id, mode, monkeypatch):
     """Whole diagnosis campaigns (clients construct their own interpreters)
-    produce the same sketch under every tier, toggled the way operators
-    would: via the process-wide default."""
+    produce the same sketch under every tier, toggled through the
+    module-wide default tier."""
     spec = get_bug(bug_id)
     results = {}
     for active in (mode, "strict"):
-        if active == "strict":
-            monkeypatch.setattr(interp_mod, "STRICT_DISPATCH_DEFAULT", True)
-        else:
-            monkeypatch.setattr(interp_mod, "STRICT_DISPATCH_DEFAULT",
-                                False)
-            monkeypatch.setattr(interp_mod, "INTERP_MODE_DEFAULT", active)
+        monkeypatch.setattr(interp_mod, "INTERP_MODE_DEFAULT", active)
         ev = evaluate_bug(spec, mode="full", endpoints=2, max_iterations=4,
                           max_runs_per_iteration=60,
                           context=AnalysisContext(spec.module()))
@@ -197,6 +195,20 @@ def test_decoded_stream_cached_per_module_and_epoch():
     assert ctx.stats.by_kind["decoded"]["hits"] == 1
 
 
+def test_decoded_stream_freed_with_its_module():
+    """The stream cache is weakly keyed: dropping the last reference to a
+    module frees its entry (the stream must not hold its own key)."""
+    module = get_bug("pbzip2-1").module()
+    decoded_program(module)
+    assert module in decoded_mod._CACHE
+    alive = weakref.ref(module)
+    del module
+    gc.collect()
+    # Nothing, the cached stream included, kept the module alive, so the
+    # weak-keyed entry went with it.
+    assert alive() is None
+
+
 def test_compiled_program_cached_per_module_and_epoch():
     module = get_bug("pbzip2-1").module()
     first = compiled_program(module)
@@ -205,21 +217,6 @@ def test_compiled_program_cached_per_module_and_epoch():
     rebuilt = compiled_program(module)
     assert rebuilt is not first
     assert rebuilt.epoch == module.analysis_epoch
-
-
-def test_compiled_program_context_counters():
-    """cold miss -> warm hit, mirroring the decoded artifact counters."""
-    module = get_bug("pbzip2-1").module()
-    ctx = AnalysisContext(module)
-    assert "compiled" not in ctx.stats.by_kind or \
-        ctx.stats.by_kind["compiled"]["hits"] == 0
-    first = ctx.compiled_program()
-    assert first is compiled_program(module)
-    assert ctx.stats.by_kind["compiled"]["misses"] == 1
-    assert ctx.stats.by_kind["compiled"]["hits"] == 0
-    assert ctx.compiled_program() is first
-    assert ctx.stats.by_kind["compiled"]["hits"] == 1
-    assert ctx.stats.by_kind["compiled"]["misses"] == 1
 
 
 def test_compiled_cache_evicts_under_cap(monkeypatch):
@@ -258,7 +255,7 @@ def test_unobserved_events_allocate_nothing(monkeypatch):
     interp = Interpreter(spec.module(), args=list(workload.args),
                          scheduler=workload.make_scheduler(),
                          tracers=[tracer], max_steps=workload.max_steps,
-                         strict_dispatch=False)
+                         mode="decoded")
     outcome = interp.run()
     assert outcome.steps > 0
     assert outcome.extra_cost > 0  # the costs were still charged
